@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint deep-lint doclint typecheck bench bench-suite serve-bench serve-bench-full bench-faults bench-gateway bench-gateway-full gateway-smoke chaos shard-chaos chaos-all bench-chaos bench-chaos-full examples figures stats clean
+.PHONY: install test lint deep-lint doclint typecheck perfbench bench bench-suite serve-bench serve-bench-full bench-faults bench-gateway bench-gateway-full gateway-smoke chaos shard-chaos chaos-all bench-chaos bench-chaos-full examples figures stats clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -32,6 +32,14 @@ doclint:
 # repro.observability, lenient elsewhere); requires mypy on PATH
 typecheck:
 	$(PYTHON) -m mypy src/repro/analysis src/repro/service src/repro/faults src/repro/gateway src/repro/api src/repro/observability
+
+# the repository benchmark (BENCHMARK.json, perfbench/README.md): the
+# end-to-end metrics of each workload with tracing off, 20 s per workload
+# as the benchmark declares; results are also written to .perfbench_out/
+perfbench:
+	$(PYTHON) perfbench/run.py --workload mine-travel --seed 0 --seconds 20 --trace 0
+	$(PYTHON) perfbench/run.py --workload serve-http --seed 0 --seconds 20 --trace 0
+	$(PYTHON) perfbench/run.py --workload serve-shards --seed 0 --seconds 20 --trace 0
 
 # quick perf report: micro-benches + backend A/B equivalence (fails on any
 # mining divergence), then schema/threshold validation of the JSON output

@@ -552,6 +552,33 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
                 return False
         return True
 
+    def up_closure_keys(
+        self, node: Assignment
+    ) -> List[Tuple[str, Term, FrozenSet[Term]]]:
+        """One ``(variable, value, generalizations)`` triple per value.
+
+        ``generalizations`` is the value's reflexive ancestor set, a view
+        over the orders' compiled closures (a term the orders do not know is
+        its only generalization).  The node's *up-closure keys* are the
+        ``(variable, ancestor)`` pairs: on values, ``a ≤ b`` holds exactly
+        when every ``(variable, value)`` pair of ``a`` is an up-closure key
+        of ``b``.  :class:`~repro.mining.state.ClassificationState` indexes
+        its witness logs by these keys; MORE facts are left to :meth:`leq`.
+        """
+        element_order = self.vocabulary.element_order
+        relation_order = self.vocabulary.relation_order
+        return [
+            (
+                name,
+                value,
+                (
+                    element_order if isinstance(value, Element) else relation_order
+                ).ancestors(value),
+            )
+            for name, values in node.values.items()
+            for value in values
+        ]
+
     def _compile_left_digest(self, a: Assignment) -> tuple:
         """Digest of ``a`` as the left (more general) side of ``leq``.
 

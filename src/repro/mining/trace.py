@@ -85,12 +85,13 @@ class MspTracker(Generic[Node]):
     """Maintains the confirmed-MSP set incrementally.
 
     A candidate (a node decided significant) is a confirmed MSP once every
-    successor is classified insignificant.  Instead of re-expanding every
-    candidate's successor list on each refresh, the tracker keeps a
-    *pending frontier* per candidate — the successors not yet known
-    insignificant — and each refresh only re-examines that shrinking set.
-    Classification is monotone, so a successor leaves the frontier at most
-    once and a candidate is confirmed exactly when its frontier drains.
+    successor is classified insignificant.  Each candidate keeps its
+    pending successors as a stack, first successor on top, and a refresh
+    pops only while the top — the *watched* successor — is insignificant.
+    Classification is monotone, so a popped successor needs no second look
+    and a stack drains at the same refresh at which a rescan of all its
+    pending successors would confirm the candidate; a refresh costs
+    O(candidates) status checks, not O(pending successors).
     """
 
     def __init__(
@@ -103,7 +104,8 @@ class MspTracker(Generic[Node]):
         self.state = state
         # nodes explicitly decided significant (by ask or aggregator verdict)
         self._significant_decided: Set[Node] = set()
-        # candidate -> successors not yet classified insignificant
+        # candidate -> stack of successors not yet seen insignificant; the
+        # top (last item) is the watched one
         self._pending: Dict[Node, List[Node]] = {}
         self._confirmed: Set[Node] = set()
         self._confirmed_valid: Set[Node] = set()
@@ -115,21 +117,22 @@ class MspTracker(Generic[Node]):
         if node in self._significant_decided:
             return
         self._significant_decided.add(node)
-        self._pending[node] = list(self.space.successors(node))
+        self._pending[node] = list(reversed(self.space.successors(node)))
 
     def note_new_successor(self, node: Node, successor: Node) -> None:
         """Register a successor added to ``node`` after it became a candidate.
 
         Lazy spaces can grow mid-run (crowd-proposed MORE extensions); an
         unconfirmed candidate must then also see the new successor
-        classified insignificant before it is confirmed.
+        classified insignificant before it is confirmed; it becomes the
+        candidate's watched successor.
         """
         pending = self._pending.get(node)
         if pending is not None and successor not in pending:
             pending.append(successor)
 
     def refresh(self, force: bool = False) -> None:
-        """Advance the pending frontiers and confirm drained candidates.
+        """Pop insignificant watched successors; confirm drained candidates.
 
         Like :class:`ValidProgress`, the scan is throttled to every
         ``stride`` calls; pass ``force=True`` before reading final results.
@@ -138,19 +141,18 @@ class MspTracker(Generic[Node]):
         if not force and self._stride > 1 and self._calls % self._stride != 1:
             return
         status = self.state.status
-        for node in list(self._pending):
-            remaining = [
-                s
-                for s in self._pending[node]
-                if status(s) is not Status.INSIGNIFICANT
-            ]
-            if remaining:
-                self._pending[node] = remaining
-            else:
-                del self._pending[node]
-                self._confirmed.add(node)
-                if self.space.is_valid(node):
-                    self._confirmed_valid.add(node)
+        insignificant = Status.INSIGNIFICANT
+        drained = []
+        for node, stack in self._pending.items():
+            while stack and status(stack[-1]) is insignificant:
+                stack.pop()
+            if not stack:
+                drained.append(node)
+        for node in drained:
+            del self._pending[node]
+            self._confirmed.add(node)
+            if self.space.is_valid(node):
+                self._confirmed_valid.add(node)
 
     def confirmed(self) -> Set[Node]:
         return set(self._confirmed)

@@ -2,6 +2,7 @@
 
 import pathlib
 import re
+import warnings
 
 import pytest
 
@@ -50,15 +51,21 @@ def _execute_blocks(doc_name, monkeypatch, capsys):
 
     Runs from the repository root (the PERFORMANCE.md table renderer
     reads ``BENCH_perf.json`` relatively) with the support backend reset
-    to the shipped default (TUNING.md asserts it)."""
+    to the shipped default (TUNING.md asserts it).  A deprecated call in a
+    doc is an error: the warn-once shims are re-armed first, so the check
+    does not depend on which test ran before."""
     from repro.crowd import set_support_backend
+    from repro.engine.config import reset_deprecation_warnings
 
     monkeypatch.chdir(ROOT)
     set_support_backend("adaptive")
+    reset_deprecation_warnings()
     namespace = {}
-    for index, block in enumerate(_python_blocks(doc_name)):
-        code = compile(block, f"{doc_name}[block {index}]", "exec")
-        exec(code, namespace)  # noqa: S102 - executing our own docs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        for index, block in enumerate(_python_blocks(doc_name)):
+            code = compile(block, f"{doc_name}[block {index}]", "exec")
+            exec(code, namespace)  # noqa: S102 - executing our own docs
 
 
 class TestObservabilityGuide:

@@ -33,6 +33,22 @@ class TestFastStrategy:
         assert state.status(1) is Status.INSIGNIFICANT
         assert state.status(3) is Status.INSIGNIFICANT
 
+    def test_significant_witnesses_are_the_maximal_marks(self, chain_dag):
+        state = ClassificationState(chain_dag)
+        state.mark_significant(1)
+        state.mark_significant(2)  # comparable: 1 <= 2 subsumes the first
+        assert state.significant_witnesses() == [2]
+
+    def test_significant_witnesses_keep_incomparable_marks(self):
+        dag = ExplicitDAG()
+        for a, b in [(0, 1), (0, 2), (1, 3), (2, 3)]:
+            dag.add_edge(a, b)
+        state = ClassificationState(dag)
+        state.mark_significant(1)
+        state.mark_significant(2)
+        state.mark_significant(0)
+        assert sorted(state.significant_witnesses()) == [1, 2]
+
     def test_is_classified_helpers(self, chain_dag):
         state = ClassificationState(chain_dag)
         state.mark_significant(0)
