@@ -50,7 +50,7 @@ bench:
 bench-suite:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-# quick (<60s) serving benchmark: thread mode at 1/4/8 workers, the
+# quick (<60s) serving benchmark: one in-process campaign, the
 # process-shard matrix at 1/2/4 shards, one kill-one-shard chaos run,
 # serial MSP-identity everywhere; then schema validation of the output
 serve-bench:

@@ -1,13 +1,13 @@
 #!/usr/bin/env python
 """Throughput report for the concurrent crowd-serving layer.
 
-Schema v2 covers both serving backends:
+Schema v3 covers both serving backends:
 
-* **thread mode** — :func:`repro.service.run_simulation` at worker
-  counts 1, 4 and 8 (sessions of one domain, shared crowd, injected
-  drops and departures), each row carrying the satellite timeout-churn
-  regression fields: after the deadline-scaling fix every reaped
-  question should be an *injected* drop, so
+* **in-process** — one :func:`repro.service.run_simulation` campaign
+  (sessions of one domain, shared crowd, injected drops and
+  departures) on the single-threaded runner loop, carrying the
+  timeout-churn regression fields: after the deadline-scaling fix every
+  reaped question should be an *injected* drop, so
   ``excess_timeout_ratio = max(0, timeouts - dispatched // drop_every)
   / answered`` must stay ~0;
 * **process-sharded mode** — :func:`repro.service.shard.
@@ -51,12 +51,11 @@ if __package__ in (None, ""):
 from repro.observability import atomic_write_json, derive_service, tracing
 from repro.service import run_simulation
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
-WORKER_COUNTS = (1, 4, 8)
 SHARD_COUNTS = (1, 2, 4)
 
-#: every member ignores every n-th question in the thread-mode rows
+#: every member ignores every n-th question in the in-process row
 DROP_EVERY = 5
 #: ceiling on timeouts beyond the injected drops, per answered question
 MAX_EXCESS_TIMEOUT_RATIO = 0.02
@@ -72,14 +71,13 @@ def effective_cores() -> int:
         return os.cpu_count() or 1
 
 
-def run_config(workers: int, *, sessions: int, domain: str, seed: int) -> dict:
-    """One thread-mode simulation; returns a report row."""
+def run_config(*, sessions: int, domain: str, seed: int) -> dict:
+    """One in-process simulation; returns a report row."""
     with tracing() as tracer:
         started = time.perf_counter()
         report = run_simulation(
             domain=domain,
             sessions=sessions,
-            workers=workers,
             crowd_size=6,
             sample_size=3,
             drop_every=DROP_EVERY,
@@ -97,7 +95,6 @@ def run_config(workers: int, *, sessions: int, domain: str, seed: int) -> dict:
     injected = questions.get("dispatched", 0) // DROP_EVERY
     excess = max(0, questions.get("timeouts", 0) - injected)
     return {
-        "workers": workers,
         "elapsed_seconds": round(elapsed, 4),
         "sessions": sessions,
         "sessions_completed": states.count("completed"),
@@ -169,11 +166,7 @@ def build_report(quick: bool, seed: int) -> dict:
     from repro.service.shard import run_shard_chaos_once
 
     sessions = 4 if quick else 8
-    rows = [
-        run_config(workers, sessions=sessions, domain="demo", seed=seed)
-        for workers in WORKER_COUNTS
-    ]
-    serial_row = rows[0]
+    in_process = run_config(sessions=sessions, domain="demo", seed=seed)
 
     shard_sessions = 4 if quick else 8
     shard_crowd = 1_000 if quick else 100_000
@@ -243,25 +236,20 @@ def build_report(quick: bool, seed: int) -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "domain": "demo",
-        "runs": rows,
+        "in_process": in_process,
         "shard_runs": shard_rows,
         "shard_efficiency": efficiency,
         "scaling_gate": scaling_gate,
         "chaos": chaos,
         "identity": {
             "all_msps_identical": all(
-                r["msps_identical_to_serial"] for r in rows + shard_rows
+                r["msps_identical_to_serial"] for r in [in_process] + shard_rows
             ),
             "all_settled": all(
                 not r["timed_out"] and r["sessions_completed"] == r["sessions"]
-                for r in rows + shard_rows
+                for r in [in_process] + shard_rows
             ),
         },
-        "speedup_1_to_4_workers": round(
-            serial_row["elapsed_seconds"] / rows[1]["elapsed_seconds"], 3
-        )
-        if rows[1]["elapsed_seconds"] > 0
-        else None,
     }
 
 
@@ -270,11 +258,11 @@ def validate(report: dict) -> list:
     problems = []
     if report.get("schema_version") != SCHEMA_VERSION:
         problems.append(f"schema_version != {SCHEMA_VERSION}")
-    runs = report.get("runs", [])
-    if sorted(r.get("workers") for r in runs) != sorted(WORKER_COUNTS):
-        problems.append(f"expected runs at workers {WORKER_COUNTS}")
-    for row in runs:
-        tag = f"workers={row.get('workers')}"
+    row = report.get("in_process")
+    if not isinstance(row, dict):
+        problems.append("missing in_process row")
+    else:
+        tag = "in-process"
         for field in (
             "elapsed_seconds",
             "sessions_per_second",
@@ -358,14 +346,13 @@ def main(argv=None) -> int:
 
     report = build_report(args.quick, args.seed)
     atomic_write_json(args.output, report)
-    for row in report["runs"]:
-        churn = row["timeout_churn"]
-        print(
-            f"workers={row['workers']}: {row['elapsed_seconds']:.2f}s, "
-            f"{row['questions_per_second']:.0f} questions/s, "
-            f"identical={row['msps_identical_to_serial']}, "
-            f"excess_timeouts={churn['excess_timeouts']}"
-        )
+    row = report["in_process"]
+    print(
+        f"in-process: {row['elapsed_seconds']:.2f}s, "
+        f"{row['questions_per_second']:.0f} questions/s, "
+        f"identical={row['msps_identical_to_serial']}, "
+        f"excess_timeouts={row['timeout_churn']['excess_timeouts']}"
+    )
     for row in report["shard_runs"]:
         print(
             f"shards={row['shards']}: {row['elapsed_seconds']:.2f}s serve, "

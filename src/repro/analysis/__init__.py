@@ -6,8 +6,7 @@ Two halves (see ``docs/ANALYSIS.md``):
   :mod:`repro.analysis.rules`) — an AST-based pass encoding this repo's
   own invariants: the service locking contract, version-stamp
   discipline of the compiled caches, the observability name registry,
-  shim-free internal call sites, deterministic core modules, plus the
-  usual hygiene rules.  Run it with ``python -m repro.analysis src/``,
+  deterministic core modules, plus the usual hygiene rules.  Run it with ``python -m repro.analysis src/``,
   ``repro lint`` or ``make lint``; it exits non-zero on errors and
   honors ``# repro-lint: disable=RULE`` suppressions.
 * **the lock-order checker** (:mod:`repro.analysis.lockcheck`) —

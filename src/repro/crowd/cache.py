@@ -12,9 +12,9 @@ The paper backs this store with MySQL; we keep it in memory with optional
 JSON persistence (the durability engine is irrelevant to the algorithms).
 
 Thread-safety: mutations and snapshots take an internal lock, so one cache
-may be written from several service worker threads (see
-:mod:`repro.service`) or shared between a live session and a snapshot
-reader.  The arrival-order answer lists double as provenance — they record
+may be written from the gateway's server thread and in-process callers
+(see :mod:`repro.service`) or shared between a live session and a
+snapshot reader.  The arrival-order answer lists double as provenance — they record
 which member said what, in which order it was collected.
 """
 

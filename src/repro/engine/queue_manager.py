@@ -67,7 +67,7 @@ class PendingQuestion:
     """A question handed to a member, awaiting their answer.
 
     ``fact_set`` carries the instantiated assignment so answering code
-    (e.g. simulated members on service worker threads) never needs to
+    (e.g. simulated members served by the service runner) never needs to
     touch the shared assignment space.
     """
 

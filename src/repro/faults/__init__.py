@@ -8,7 +8,7 @@ production:
 
 * :class:`FaultPlan` — a seedable, fully deterministic schedule of
   faults (member timeouts, departures, duplicate deliveries, malformed
-  answers, worker-thread crashes) injected at named sites wired through
+  answers, crashed runner turns) injected at named sites wired through
   :mod:`repro.service`;
 * :class:`CircuitBreaker` — the per-member error-rate breaker the
   :class:`~repro.service.manager.SessionManager` uses to quarantine

@@ -2,7 +2,7 @@
 
 A chaos run serves several concurrent sessions of one experiment domain
 while a :func:`~repro.faults.plan.chaos_plan` injects member timeouts,
-duplicate deliveries, one abrupt departure, worker-thread crashes and a
+duplicate deliveries, one abrupt departure, crashed runner turns and a
 *planted always-malformed member* — all deterministically from one seed.
 The run is instrumented with the dynamic lock-order checker and audited
 end to end; afterwards :func:`run_chaos_once` verifies the engine's
@@ -79,7 +79,6 @@ def run_chaos_once(
     seed: int,
     domain: str = "demo",
     sessions: int = 4,
-    workers: int = 3,
     crowd_size: int = 6,
     sample_size: int = 3,
     crashes: int = 2,
@@ -130,7 +129,6 @@ def run_chaos_once(
         report = run_simulation(
             domain=domain,
             sessions=sessions,
-            workers=workers,
             crowd_size=crowd_size,
             sample_size=sample_size,
             question_timeout=0.2,

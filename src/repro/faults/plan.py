@@ -22,9 +22,9 @@ Injection sites (the serving layer's failure surface):
     ``MALFORMED`` (an out-of-range support value the manager must
     reject) and ``DUPLICATE`` (the answer is delivered twice).
 ``runner.worker``
-    consulted by a :class:`~repro.service.runner.ServiceRunner` worker
-    thread once per member checkout; ``CRASH`` raises
-    :class:`InjectedCrash`, killing the thread while it holds a member.
+    consulted by the :class:`~repro.service.runner.ServiceRunner` loop
+    once per member turn; ``CRASH`` raises :class:`InjectedCrash`,
+    aborting the turn before the member is served.
 ``manager.dispatch``
     consulted by :meth:`~repro.service.manager.SessionManager.next_batch`
     before assembling a batch; ``TIMEOUT`` stalls the dispatch (the
@@ -74,7 +74,7 @@ class FaultKind(enum.Enum):
     DUPLICATE = "duplicate"
     #: an out-of-range / NaN support value (input validation probe)
     MALFORMED = "malformed"
-    #: the worker thread dies while holding a member checkout
+    #: the runner turn is aborted before the member is served
     CRASH = "crash"
     #: the gateway drops the connection before writing a response
     DISCONNECT = "disconnect"
@@ -83,7 +83,7 @@ class FaultKind(enum.Enum):
 
 
 class InjectedCrash(RuntimeError):
-    """Raised at a crash site to kill the current worker thread."""
+    """Raised at a crash site to abort the current runner turn."""
 
 
 class DuplicateDelivery:
@@ -226,7 +226,7 @@ def chaos_plan(
     crash_every: int = 40,
 ) -> FaultPlan:
     """The standard chaos mix: timeouts + duplicates everywhere, one
-    always-malformed member, one departure, optionally worker crashes.
+    always-malformed member, one departure, optionally runner crashes.
 
     Used by :mod:`repro.faults.chaos` and the ``repro chaos`` CLI; kept
     here so tests can build the same plan the campaign runs.

@@ -520,7 +520,7 @@ def serve_in_thread(
     The tracer active in the *calling* context is re-enabled inside the
     server thread (context variables do not cross threads), so
     ``gateway.*`` counters and latency histograms land on the caller's
-    tracer — the same pattern the service runner uses for its workers.
+    tracer.
     """
     tracer = get_tracer()
     started = threading.Event()

@@ -490,12 +490,12 @@ class SimulationSpec:
     commands — ``chaos``-only knobs (``seeds``, ``crashes``,
     ``after_nodes``, ``state_dir``) are simply ignored by ``serve-sim``
     and vice versa (``drop_every``, ``departures``, ``question_timeout``,
-    ``verify``).
+    ``verify``).  Unknown fields are ignored too, so a file that still
+    carries a retired knob such as ``workers`` decodes.
     """
 
     domain: Optional[str] = None
     sessions: Optional[int] = None
-    workers: Optional[int] = None
     shards: Optional[int] = None
     crowd_size: Optional[int] = None
     sample_size: Optional[int] = None
@@ -528,7 +528,7 @@ class SimulationSpec:
             ):
                 raise SchemaError("field 'seeds' must be a list of integers")
             seeds = tuple(seeds)
-        for name in ("sessions", "workers", "crowd_size", "sample_size"):
+        for name in ("sessions", "crowd_size", "sample_size"):
             value = _take(payload, name, (int,), None)
             if value is not None and value < 1:
                 raise SchemaError(f"field {name!r} must be >= 1, got {value}")
@@ -543,7 +543,6 @@ class SimulationSpec:
         return cls(
             domain=_take(payload, "domain", (str,), None),
             sessions=_take(payload, "sessions", (int,), None),
-            workers=_take(payload, "workers", (int,), None),
             shards=_take(payload, "shards", (int,), None),
             crowd_size=_take(payload, "crowd_size", (int,), None),
             sample_size=_take(payload, "sample_size", (int,), None),

@@ -10,9 +10,9 @@ that serving layer:
   with per-member in-flight limits, question deadlines with
   retry/backoff/reassignment, member departures, and session
   create / snapshot-resume / cancel;
-* :class:`ServiceRunner` — N worker threads driving the manager to
-  quiescence (the locking story's proof), with :class:`MemberScript`
-  behaviours injecting drops and departures;
+* :class:`ServiceRunner` — one round-robin loop driving the manager to
+  quiescence, with :class:`MemberScript` behaviours injecting drops and
+  departures;
 * :func:`run_simulation` — the multi-session harness shared by
   ``repro serve-sim``, ``benchmarks/bench_service.py`` and the tests,
   whose oracle is MSP-identity with serial execution;

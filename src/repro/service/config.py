@@ -22,8 +22,8 @@ class ServiceConfig:
     #: ``n * question_timeout``.  A member answering a batch serially
     #: cannot start question n before finishing the n-1 before it, so a
     #: fixed per-question clock times out questions the member was never
-    #: slow on (the ~20%% timeout/requeue churn of the 1-worker
-    #: benchmark).  Disable to restore the fixed-deadline behaviour.
+    #: slow on (~20%% timeout/requeue churn in the service benchmark).
+    #: Disable to restore the fixed-deadline behaviour.
     scale_deadlines: bool = True
     #: how many times the *same* member is asked the same question before
     #: the node is abandoned for them and reassigned to another member

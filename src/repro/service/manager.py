@@ -27,8 +27,8 @@ manager and classification state.  **The two are never held together**,
 which rules out lock-order deadlocks by construction.  The cost is a
 benign race: concurrent ``next_batch`` calls for the *same* member may
 transiently overshoot ``in_flight_limit`` by the number of concurrent
-callers — the :class:`~repro.service.runner.ServiceRunner` rotation gives
-each member to one worker at a time, making the limit exact in practice.
+callers — the :class:`~repro.service.runner.ServiceRunner` loop serves
+one member at a time, making the limit exact there.
 
 Everything here emits ``service.*`` counters and spans; see
 ``docs/OBSERVABILITY.md`` and :func:`repro.observability.derive_service`.

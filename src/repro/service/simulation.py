@@ -94,7 +94,6 @@ def run_simulation(
     *,
     domain: str = "demo",
     sessions: int = 8,
-    workers: int = 4,
     crowd_size: int = 6,
     sample_size: int = 3,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
@@ -141,9 +140,9 @@ def run_simulation(
     crowd; mismatches are listed in the report and flip ``verified``.
 
     ``shards > 0`` serves the campaign through that many worker
-    *processes* instead of a thread pool (PR 7,
-    :mod:`repro.service.shard`) — same report shape, same oracle.  The
-    thread-mode fault knobs (``drop_every``, ``departures``, ``faults``,
+    *processes* instead of the in-process runner loop
+    (:mod:`repro.service.shard`) — same report shape, same oracle.  The
+    in-process fault knobs (``drop_every``, ``departures``, ``faults``,
     ``checkpoint_every``, ``breaker_window``, ``audit``) do not apply
     there; shard chaos is injected via
     :func:`~repro.service.shard.run_sharded_simulation` directly.
@@ -162,7 +161,7 @@ def run_simulation(
         ]
         if offending:
             raise ValueError(
-                "sharded mode does not support thread-mode fault knobs: "
+                "sharded mode does not support in-process fault knobs: "
                 + ", ".join(sorted(offending))
             )
         from .shard import run_sharded_simulation
@@ -235,7 +234,6 @@ def run_simulation(
     runner = ServiceRunner(
         manager,
         scripts,
-        workers=workers,
         max_runtime=max_runtime,
         faults=faults,
         audit=audit,

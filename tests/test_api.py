@@ -1,12 +1,9 @@
-"""The repro.api facade: one Client, typed DTOs, warn-once legacy shims."""
-
-import warnings
+"""The repro.api facade: one Client, typed DTOs."""
 
 import pytest
 
-import repro.api as api
+from repro import OassisEngine
 from repro.api import Client
-from repro.engine import reset_deprecation_warnings
 from repro.engine.results import QueryResult
 from repro.gateway import GatewayConfig, NotFoundError
 from repro.gateway.schema import (
@@ -18,13 +15,6 @@ from repro.gateway.schema import (
     ResultResponse,
 )
 from repro.service.simulation import DOMAINS, build_identical_crowd
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 @pytest.fixture()
@@ -83,20 +73,16 @@ class TestBatchStyle:
         members = build_identical_crowd(dataset, 4, seed=0)
         modern = client.execute(query=None, members=members, threshold=0.4)
         assert isinstance(modern, QueryResult)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = api.execute(
-                dataset.ontology,
-                dataset.query(0.4),
-                build_identical_crowd(dataset, 4, seed=0),
-            )
+        legacy = OassisEngine(dataset.ontology).execute(
+            dataset.query(0.4), build_identical_crowd(dataset, 4, seed=0)
+        )
         assert sorted(repr(a) for a in modern.all_msps) == sorted(
             repr(a) for a in legacy.all_msps
         )
 
     def test_simulate_defaults_to_the_active_domain(self, client):
         report = client.simulate(
-            sessions=1, workers=2, crowd_size=4, sample_size=3,
+            sessions=1, crowd_size=4, sample_size=3,
             question_timeout=0.25, max_runtime=30.0, seed=0,
         )
         assert report["domain"] == "demo"
@@ -122,62 +108,3 @@ class TestBatchStyle:
     def test_mcp_shares_the_application_state(self, client):
         mcp = client.mcp()
         assert "pose_query" in mcp.available_tools()
-
-
-class TestLegacyShims:
-    def test_each_shim_warns_exactly_once(self):
-        dataset = DOMAINS["demo"]()
-        members = build_identical_crowd(dataset, 4, seed=0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.execute(dataset.ontology, dataset.query(0.4), members)
-            api.execute(dataset.ontology, dataset.query(0.4), members)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "Client" in str(deprecations[0].message)
-
-    def test_run_simulation_shim_delegates_and_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = api.run_simulation(
-                domain="demo", sessions=1, workers=2, crowd_size=4,
-                sample_size=3, question_timeout=0.25, max_runtime=30.0,
-                seed=0,
-            )
-        assert report["verified"]
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "simulate" in str(deprecations[0].message)
-
-    def test_shard_coordinator_shim_warns(self):
-        dataset = DOMAINS["demo"]()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            coordinator = api.shard_coordinator(
-                dataset, shards=1, crowd_size=4, sample_size=3, domain="demo"
-            )
-        assert coordinator is not None
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_warned_keys_are_distinct_per_shim(self):
-        dataset = DOMAINS["demo"]()
-        members = build_identical_crowd(dataset, 2, seed=0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.execute(dataset.ontology, dataset.query(0.4), members)
-            api.run_simulation(
-                domain="demo", sessions=1, workers=1, crowd_size=4,
-                sample_size=3, question_timeout=0.25, max_runtime=30.0,
-                seed=0,
-            )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2

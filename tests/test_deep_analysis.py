@@ -329,7 +329,6 @@ class TestRealTree:
             report = run_simulation(
                 domain="demo",
                 sessions=2,
-                workers=2,
                 crowd_size=4,
                 seed=0,
             )

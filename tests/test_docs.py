@@ -52,14 +52,11 @@ def _execute_blocks(doc_name, monkeypatch, capsys):
     Runs from the repository root (the PERFORMANCE.md table renderer
     reads ``BENCH_perf.json`` relatively) with the support backend reset
     to the shipped default (TUNING.md asserts it).  A deprecated call in a
-    doc is an error: the warn-once shims are re-armed first, so the check
-    does not depend on which test ran before."""
+    doc is an error."""
     from repro.crowd import set_support_backend
-    from repro.engine.config import reset_deprecation_warnings
 
     monkeypatch.chdir(ROOT)
     set_support_backend("adaptive")
-    reset_deprecation_warnings()
     namespace = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)

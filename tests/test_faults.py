@@ -304,7 +304,7 @@ class TestChaosCampaign:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_seeded_run_holds_every_invariant(self, seed):
         report = run_chaos_once(
-            seed=seed, sessions=3, workers=3, crashes=1, max_runtime=30.0
+            seed=seed, sessions=3, crashes=1, max_runtime=30.0
         )
         assert report.violations == []
         assert report.completed_sessions == 3
@@ -316,7 +316,6 @@ class TestChaosCampaign:
         campaign = run_chaos_campaign(
             (0, 1),
             sessions=2,
-            workers=2,
             crashes=1,
             durable_dir=str(tmp_path),
             max_runtime=30.0,

@@ -158,6 +158,12 @@ class TestSimulationSpec:
         with pytest.raises(SchemaError, match="seeds"):
             SimulationSpec.from_wire({"v": 1, "seeds": [1, "two"]})
 
+    def test_retired_workers_field_still_decodes(self):
+        # the thread-pool knob is gone; old --config files keep working
+        spec = SimulationSpec.from_wire({"v": 1, "sessions": 2, "workers": 4})
+        assert spec.overrides() == {"sessions": 2}
+        assert "workers" not in spec.to_wire()
+
     def test_seeds_decode_to_a_tuple(self):
         spec = SimulationSpec.from_wire({"v": 1, "seeds": [0, 1, 2]})
         assert spec.seeds == (0, 1, 2)

@@ -2,10 +2,15 @@
 
 The unit tests drive a :class:`SessionManager` with an injectable fake
 clock, so timeout / backoff / reassignment paths are exercised without
-sleeping.  The integration tests run the threaded simulation and assert
-the service layer's correctness oracle: every session's MSP set equals a
-serial ``engine.execute`` of the same query.
+sleeping.  The integration tests run the simulation (and one threaded
+drive of a shared manager) and assert the service layer's correctness
+oracle: every session's MSP set equals a serial ``engine.execute`` of
+the same query.
 """
+
+import queue
+import threading
+import time
 
 import pytest
 
@@ -15,6 +20,8 @@ from repro.crowd.questions import ConcreteQuestion
 from repro.engine import AnswerOutcome
 from repro.observability import derive_service, tracing
 from repro.service import (
+    DEPART,
+    DROP,
     MemberScript,
     ServiceConfig,
     ServiceRunner,
@@ -347,23 +354,109 @@ class TestLifecycle:
 
 
 class TestConcurrentService:
-    def test_eight_sessions_four_workers_match_serial(self):
-        report = run_simulation(
-            domain="demo",
-            sessions=8,
-            workers=4,
-            crowd_size=6,
-            sample_size=3,
-            drop_every=5,
-            departures=1,
+    def test_eight_sessions_four_workers_match_serial(self, engine, demo):
+        """Four plain threads share one manager: the lock contract holds.
+
+        The in-process runner is single-threaded, but the gateway still
+        reaches the manager from its server thread and in-process callers
+        at once.  This drives the demo campaign (drops, one departure)
+        from four threads that pull members off one rotation queue, so a
+        member is served by one thread at a time.
+        """
+        manager = engine.session_manager(
             question_timeout=0.2,
-            max_runtime=120.0,
-            verify=True,
+            backoff_base=0.01,
+            in_flight_limit=4,
+            batch_size=2,
         )
-        assert not report["timed_out"], "worker pool failed to settle"
-        states = {info["state"] for info in report["sessions"].values()}
-        assert states == {"completed"}
-        assert report["verified"], report["mismatches"]
+        queries = {}
+        for index in range(8):
+            session_id = f"demo-{index}"
+            queries[session_id] = demo.query((0.2, 0.3, 0.4, 0.5)[index % 4])
+            manager.create_session(
+                queries[session_id], session_id=session_id, sample_size=3
+            )
+        crowd = build_identical_crowd(demo, 6)
+        scripts = {
+            member.member_id: MemberScript(
+                member,
+                drop_every=5,
+                depart_after=6 if index == len(crowd) - 1 else None,
+            )
+            for index, member in enumerate(crowd)
+        }
+        rotation = queue.Queue()
+        for member_id in scripts:
+            manager.attach_member(member_id)
+            rotation.put(member_id)
+        stop = threading.Event()
+        deadline = time.monotonic() + 120.0
+        errors = []
+
+        def serve():
+            try:
+                while not stop.is_set() and time.monotonic() < deadline:
+                    try:
+                        member_id = rotation.get(timeout=0.002)
+                    except queue.Empty:
+                        manager.reap_expired()
+                        if manager.all_done():
+                            stop.set()
+                        continue
+                    script = scripts[member_id]
+                    stays = True
+                    batch = manager.next_batch(member_id)
+                    for question in batch:
+                        action = script.respond(question)
+                        if action == DEPART:
+                            manager.detach_member(member_id)
+                            stays = False
+                            break
+                        if action != DROP:
+                            manager.submit(question, action)
+                    manager.reap_expired()
+                    if manager.all_done():
+                        stop.set()
+                    if stays:
+                        rotation.put(member_id)
+                    if not batch:
+                        time.sleep(0.002)
+            except BaseException as error:  # surfaced by the assert below
+                errors.append(error)
+                stop.set()
+
+        threads = [threading.Thread(target=serve) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=130.0)
+        assert errors == []
+        assert manager.all_done(), "threads failed to settle the sessions"
+        assert {s.state for s in manager.sessions()} == {SessionState.COMPLETED}
+        serial = {}
+        for session in manager.sessions():
+            query = queries[session.session_id]
+            if query not in serial:
+                result = engine.execute(
+                    query,
+                    build_identical_crowd(demo, 6, prefix="serial-m"),
+                    sample_size=3,
+                )
+                serial[query] = sorted(repr(a) for a in result.all_msps)
+            assert sorted(repr(a) for a in session.msps()) == serial[query]
+
+    def test_fault_free_question_counts_are_deterministic(self):
+        def campaign():
+            return run_simulation(
+                domain="demo", sessions=8, crowd_size=6, sample_size=3, seed=0
+            )
+
+        first, second = campaign(), campaign()
+        assert first["verified"] and second["verified"]
+        assert first["questions_answered"] == second["questions_answered"]
+        assert {
+            sid: info["questions"] for sid, info in first["sessions"].items()
+        } == {sid: info["questions"] for sid, info in second["sessions"].items()}
 
     def test_runner_emits_service_counters(self, engine, demo):
         manager = engine.session_manager(question_timeout=0.2, backoff_base=0.01)
@@ -374,7 +467,7 @@ class TestConcurrentService:
         ]
         with tracing() as tracer:
             report = ServiceRunner(
-                manager, scripts, workers=2, max_runtime=60.0
+                manager, scripts, max_runtime=60.0
             ).run()
         assert not report["timed_out"]
         service = derive_service(tracer.report()["counters"])
